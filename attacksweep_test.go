@@ -52,6 +52,24 @@ func TestAttackSweepGoldenPinned(t *testing.T) {
 	}
 }
 
+// Random replacement under DAWG draws its victims from the target
+// seed: the grid runs to completion and stays worker-invariant.
+func TestAttackSweepRandomDAWG(t *testing.T) {
+	spec := AttackSpec{
+		Victims:  []string{"ttable"},
+		Policies: []ReplacementKind{Random},
+		Defenses: []AttackDefense{attack.DefenseDAWG},
+	}
+	cells := AttackSweep(spec, goldenSeed, RunOptions{Workers: 1})
+	want := RenderAttackSweep(cells)
+	if got := RenderAttackSweep(AttackSweep(spec, goldenSeed, RunOptions{Workers: 2})); got != want {
+		t.Errorf("Random/DAWG sweep at Workers=2 diverges from the serial run:\n%s\nvs\n%s", got, want)
+	}
+	if len(cells) != 1 || cells[0].Recovery.Mean > 0.3 {
+		t.Errorf("Random/DAWG cells %+v, want one cell at chance recovery", cells)
+	}
+}
+
 // The full matrix (all victims × policies × defenses) must keep its
 // grid shape and stay worker-invariant; its contents are exercised by
 // internal/attack's tests, so one small-symbol pass suffices here.

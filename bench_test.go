@@ -736,17 +736,16 @@ func chaseSeparates(s *Channel) bool {
 
 func otsu(xs []float64) float64 { return stats.OtsuThreshold(xs) }
 
-// ---- Trace-compiled batch execution (DESIGN.md §10) ----
+// ---- Batch execution (DESIGN.md §10) ----
 //
-// The three benches below measure the same workload through the
+// The two benches below measure the same workload through the
 // per-access path and the batch path, so the batch speedup is a
 // sibling ratio inside one run — independent of the runner's absolute
-// speed. CI pins the ratios with benchdiff -require. Each mode
-// verifies its hit count against a precomputed reference, so the
-// wall-time comparison is also a bit-identity check.
+// speed. Each mode verifies its hit count against a precomputed
+// reference, so the wall-time comparison is also a bit-identity check.
 
-// batchBenchProgram mixes a hot working set (hits, provable runs) with
-// strided cold misses — the shape of a probe loop's reference stream.
+// batchBenchProgram mixes a hot working set (hits) with strided cold
+// misses — the shape of a probe loop's reference stream.
 func batchBenchProgram(n, sets int, seed uint64) []uint64 {
 	r := rng.New(seed)
 	lines := make([]uint64, n)
@@ -870,184 +869,6 @@ func BenchmarkLoadBatch(b *testing.B) {
 			}
 		}
 		emitBench(b, map[string]float64{"l1-hit-rate": float64(wantL1) / n})
-	})
-}
-
-// BenchmarkTraceCompiledTrial replays a compiled prime/probe trial —
-// repeated full passes over a few monitored sets, the attack's
-// canonical access program — per-access, as a compiled trace (whose
-// passes after the first are provable-hit runs), and set-partitioned.
-func BenchmarkTraceCompiledTrial(b *testing.B) {
-	prof := SandyBridge()
-	mk := func() *hier.Hierarchy {
-		return hier.New(hier.Config{Profile: prof,
-			L1Policy: replacement.TrueLRU, L2Policy: replacement.TreePLRU, WithLLC: true})
-	}
-	// 16 monitored sets × 8 ways, 400 passes: one line program.
-	var prog []uint64
-	for pass := 0; pass < 400; pass++ {
-		for set := 0; set < 16; set++ {
-			for w := 0; w < prof.L1Ways; w++ {
-				prog = append(prog, uint64(w)*uint64(prof.L1Sets)+uint64(set))
-			}
-		}
-	}
-	addrs := make([]mem.Addr, len(prog))
-	for i, ln := range prog {
-		addrs[i] = mem.Addr{Virt: ln * 64, Phys: ln * 64, VirtLine: ln, PhysLine: ln}
-	}
-	ref := mk()
-	var wantL1 uint64
-	for _, a := range addrs {
-		if ref.Load(a, 0).L1Hit {
-			wantL1++
-		}
-	}
-	check := func(b *testing.B, out []hier.Result) {
-		var l1 uint64
-		for i := range out {
-			if out[i].L1Hit {
-				l1++
-			}
-		}
-		if l1 != wantL1 {
-			b.Fatalf("L1 hits %d, want %d", l1, wantL1)
-		}
-	}
-
-	b.Run("mode=peraccess", func(b *testing.B) {
-		h := mk()
-		out := make([]hier.Result, len(addrs))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.Reset()
-			for j, a := range addrs {
-				out[j] = h.Load(a, 0)
-			}
-			check(b, out)
-		}
-		emitBench(b, map[string]float64{"l1-hit-rate": float64(wantL1) / float64(len(addrs))})
-	})
-	b.Run("mode=batch", func(b *testing.B) {
-		h := mk()
-		tb := h.NewTraceBuilder()
-		for _, ln := range prog {
-			tb.Load(ln, 0)
-		}
-		tr := tb.Trace()
-		out := make([]hier.Result, len(addrs))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.Reset()
-			h.LoadTrace(tr, out)
-			check(b, out)
-		}
-		emitBench(b, map[string]float64{"l1-hit-rate": float64(wantL1) / float64(len(addrs))})
-	})
-	b.Run("mode=parallel", func(b *testing.B) {
-		h := mk()
-		tb := h.NewTraceBuilder()
-		for _, ln := range prog {
-			tb.Load(ln, 0)
-		}
-		tr := tb.Trace()
-		out := make([]hier.Result, len(addrs))
-		workers := runtime.GOMAXPROCS(0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.Reset()
-			h.LoadTraceParallel(tr, out, workers)
-			check(b, out)
-		}
-		emitBench(b, map[string]float64{
-			"l1-hit-rate": float64(wantL1) / float64(len(addrs)),
-			"workers":     float64(workers),
-		})
-	})
-}
-
-// BenchmarkTraceCompiledProbe replays the attack's other canonical
-// program shape: d-split partial-prime probing — d of the ways per
-// monitored set, sender and receiver passes alternating — interrupted
-// by never-repeating cold loads that break the trace into many runs
-// with per-access gap records between them.
-func BenchmarkTraceCompiledProbe(b *testing.B) {
-	prof := SandyBridge()
-	mk := func() *hier.Hierarchy {
-		return hier.New(hier.Config{Profile: prof,
-			L1Policy: replacement.TrueLRU, L2Policy: replacement.TreePLRU, WithLLC: true})
-	}
-	const monSets, d, passes = 32, 6, 300
-	type rec struct {
-		line uint64
-		req  int
-	}
-	var prog []rec
-	cold := uint64(1 << 20)
-	for pass := 0; pass < passes; pass++ {
-		req := pass & 1
-		for set := 0; set < monSets; set++ {
-			for w := 0; w < d; w++ {
-				prog = append(prog, rec{uint64(w)*uint64(prof.L1Sets) + uint64(set), req})
-			}
-		}
-		if pass%8 == 7 {
-			// A fresh line, never revisited: an unprovable record that
-			// ends the current run mid-trace.
-			cold++
-			prog = append(prog, rec{cold*uint64(prof.L1Sets) + uint64(pass%monSets), 0})
-		}
-	}
-	ref := mk()
-	var wantL1 uint64
-	for _, r := range prog {
-		a := mem.Addr{Virt: r.line * 64, Phys: r.line * 64, VirtLine: r.line, PhysLine: r.line}
-		if ref.Load(a, r.req).L1Hit {
-			wantL1++
-		}
-	}
-	hitRate := float64(wantL1) / float64(len(prog))
-	check := func(b *testing.B, out []hier.Result) {
-		var l1 uint64
-		for i := range out {
-			if out[i].L1Hit {
-				l1++
-			}
-		}
-		if l1 != wantL1 {
-			b.Fatalf("L1 hits %d, want %d", l1, wantL1)
-		}
-	}
-
-	b.Run("mode=peraccess", func(b *testing.B) {
-		h := mk()
-		out := make([]hier.Result, len(prog))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.Reset()
-			for j, r := range prog {
-				a := mem.Addr{Virt: r.line * 64, Phys: r.line * 64, VirtLine: r.line, PhysLine: r.line}
-				out[j] = h.Load(a, r.req)
-			}
-			check(b, out)
-		}
-		emitBench(b, map[string]float64{"l1-hit-rate": hitRate})
-	})
-	b.Run("mode=batch", func(b *testing.B) {
-		h := mk()
-		tb := h.NewTraceBuilder()
-		for _, r := range prog {
-			tb.Load(r.line, r.req)
-		}
-		tr := tb.Trace()
-		out := make([]hier.Result, len(prog))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			h.Reset()
-			h.LoadTrace(tr, out)
-			check(b, out)
-		}
-		emitBench(b, map[string]float64{"l1-hit-rate": hitRate})
 	})
 }
 

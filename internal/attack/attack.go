@@ -144,8 +144,8 @@ type session struct {
 	latHit, latMiss uint64
 
 	// bt is the target's batch surface, if it has one; the synchronous
-	// passes run through it. blines/bhits are its reusable staging
-	// buffers.
+	// passes and victim windows run through it. blines/bhits are its
+	// reusable staging buffers.
 	bt     BatchTarget
 	blines []uint64
 	bhits  []bool
@@ -240,17 +240,11 @@ func (s *session) pass(from, to int, e *sched.Env) {
 // the same fixed order — executes as one AccessBatch call, and the
 // hit bits fold into the observation masks afterwards.
 func (s *session) passBatch(from, to int) {
-	need := len(s.sets) * (to - from)
-	if cap(s.blines) < need {
-		s.blines = make([]uint64, need)
-		s.bhits = make([]bool, need)
-	}
-	blines := s.blines[:0]
+	s.blines = s.blines[:0]
 	for i := range s.sets {
-		blines = append(blines, s.lines[i][from:to]...)
+		s.blines = append(s.blines, s.lines[i][from:to]...)
 	}
-	hits := s.bhits[:need]
-	s.bt.AccessBatch(blines, ReqAttacker, hits)
+	hits := s.batch(ReqAttacker)
 	k := 0
 	for i := range s.sets {
 		mask := s.obs[i]
@@ -265,6 +259,17 @@ func (s *session) passBatch(from, to int) {
 		}
 		s.obs[i] = mask
 	}
+}
+
+// batch runs the staged s.blines through the target's batch surface
+// on behalf of req and returns their hit bits.
+func (s *session) batch(req int) []bool {
+	if cap(s.bhits) < len(s.blines) {
+		s.bhits = make([]bool, len(s.blines))
+	}
+	hits := s.bhits[:len(s.blines)]
+	s.bt.AccessBatch(s.blines, req, hits)
+	return hits
 }
 
 // prime runs the initialization phase of one window: under the d-split
@@ -334,7 +339,17 @@ func (s *session) window(symbol int) Observation {
 
 // victimWindow plays one victim event window against the target.
 func (s *session) victimWindow(e *sched.Env, symbol int) {
-	for _, step := range s.v.Sequence(symbol, s.r.Uint64()) {
+	seq := s.v.Sequence(symbol, s.r.Uint64())
+	if e == nil && s.bt != nil {
+		// Synchronous baseline: the whole window is one batch.
+		s.blines = s.blines[:0]
+		for _, step := range seq {
+			s.blines = append(s.blines, step.Line)
+		}
+		s.batch(ReqVictim)
+		return
+	}
+	for _, step := range seq {
 		s.access(e, step.Line, ReqVictim)
 	}
 }

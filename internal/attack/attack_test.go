@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/detect"
 	"repro/internal/replacement"
+	"repro/internal/uarch"
 	"repro/internal/victim"
 )
 
@@ -51,6 +52,33 @@ func TestDAWGDrivesRecoveryToChance(t *testing.T) {
 	// Chance-level guessing sits far from the perfect 1.0.
 	if res.MeanGuesses < 4 {
 		t.Errorf("DAWG mean guesses %.1f, want chance-like (>= 4)", res.MeanGuesses)
+	}
+	// Zero cross-evictions is what holds the DAWG detection AUC at 0.
+	if a, v := res.AttackerReport.L1D, res.VictimReport.L1D; a.CrossEvictions != 0 || v.CrossEvictions != 0 {
+		t.Errorf("DAWG cross-evictions: attacker %d, victim %d; want 0", a.CrossEvictions, v.CrossEvictions)
+	}
+}
+
+// DAWG reports come from the partitions' own counters. The attack's
+// steady phase fits the attacker's partition and never evicts, so an
+// attacker that primes all L1 ways, as it would on an unpartitioned
+// cache, shows real evictions — none of them of the victim's lines.
+func TestDAWGReportCountsOwnEvictions(t *testing.T) {
+	prof := uarch.SandyBridge()
+	tg := NewTarget(DefenseDAWG, prof, replacement.TreePLRU, 7)
+	const set = 5
+	victimLine := uint64(set)
+	tg.WarmVictim([]uint64{victimLine})
+	for round := 0; round < 2; round++ {
+		for w := 1; w <= prof.L1Ways; w++ {
+			tg.Access(uint64(w*prof.L1Sets+set), ReqAttacker)
+		}
+	}
+	if a := tg.Report(ReqAttacker).L1D; a.Evictions == 0 || a.CrossEvictions != 0 {
+		t.Errorf("attacker L1D evictions %d, cross-evictions %d; want > 0 and 0", a.Evictions, a.CrossEvictions)
+	}
+	if !tg.Access(victimLine, ReqVictim) {
+		t.Error("attacker overflow evicted the victim's line")
 	}
 }
 

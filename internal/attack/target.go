@@ -121,7 +121,8 @@ type TargetConfig struct {
 	Defense Defense
 	Profile uarch.Profile
 	Policy  replacement.Kind
-	// Seed feeds only the defenses that need randomness (random fill).
+	// Seed feeds the randomness of the defenses (random fill) and of
+	// the Random policy.
 	Seed uint64
 	// FillWindow is the random-fill neighbourhood half-width in lines;
 	// 0 selects the canonical RandomFillWindow. Ignored by the other
@@ -158,11 +159,9 @@ func NewTargetCfg(cfg TargetConfig) Target {
 			ways: prof.L1Ways,
 		}
 	case DefenseDAWG:
-		const domains = 2
-		return &dawgTarget{
-			d:       secure.NewDAWGWithPolicy(prof.L1Sets, prof.L1Ways, domains, cfg.Policy),
-			waysPer: prof.L1Ways / domains,
-		}
+		// Domains are the requestor ids: victim 0, attacker 1.
+		d := secure.NewDAWGWithPolicy(prof.L1Sets, prof.L1Ways, 2, cfg.Policy, rng.New(cfg.Seed))
+		return &dawgTarget{parts: [2]*cache.Cache{d.Domain(ReqVictim), d.Domain(ReqAttacker)}}
 	default:
 		panic(fmt.Sprintf("attack: unknown defense %d", int(cfg.Defense)))
 	}
@@ -178,8 +177,8 @@ func lineAddr(line uint64) mem.Addr {
 // BatchTarget is the optional batch surface of a Target: loads of
 // lines in order on behalf of requestor with the hit bits written to
 // hits, bit-identical to per-line Access calls. The synchronous attack
-// session routes its prime/probe passes through it when the target
-// provides one.
+// session routes its prime/probe passes and victim windows through it
+// when the target provides one.
 type BatchTarget interface {
 	AccessBatch(lines []uint64, requestor int, hits []bool)
 }
@@ -266,26 +265,35 @@ func (t *rfTarget) Report(requestor int) perfctr.Report {
 func (t *rfTarget) ResetStats() { t.rf.Inner().ResetStats() }
 
 // dawgTarget adapts the way-partitioned cache: requestor == protection
-// domain, and the attacker sizes its prime to its own partition. The
-// DAWG model keeps no counters, so the adapter accounts accesses
-// itself (evictions stay inside a domain by construction, so
-// cross-domain evictions are structurally zero).
+// domain, and the attacker sizes its prime to its own partition. Each
+// domain's partition is a cache.Cache driven directly, so the counters
+// are the partitions' own; cross-domain evictions are structurally zero
+// because a partition only ever holds its own domain's lines.
 type dawgTarget struct {
-	d       *secure.DAWGCache
-	waysPer int
-	stats   [2]cache.Stats
+	parts [2]*cache.Cache // indexed by requestor
+
+	// Scratch buffers of AccessBatch, reused across passes.
+	breqs []cache.Request
+	bres  []cache.Result
 }
 
 func (t *dawgTarget) Access(line uint64, requestor int) bool {
-	hit := t.d.Access(line, requestor)
-	s := &t.stats[requestor]
-	s.Accesses++
-	if hit {
-		s.Hits++
-	} else {
-		s.Misses++
+	return t.parts[requestor].Access(cache.Request{PhysLine: line, Requestor: requestor}).Hit
+}
+
+func (t *dawgTarget) AccessBatch(lines []uint64, requestor int, hits []bool) {
+	if cap(t.breqs) < len(lines) {
+		t.breqs = make([]cache.Request, len(lines))
+		t.bres = make([]cache.Result, len(lines))
 	}
-	return hit
+	reqs, res := t.breqs[:len(lines)], t.bres[:len(lines)]
+	for i, ln := range lines {
+		reqs[i] = cache.Request{PhysLine: ln, Requestor: requestor}
+	}
+	t.parts[requestor].AccessBatch(reqs, res)
+	for i := range res {
+		hits[i] = res[i].Hit
+	}
 }
 
 func (t *dawgTarget) WarmVictim(lines []uint64) {
@@ -294,10 +302,14 @@ func (t *dawgTarget) WarmVictim(lines []uint64) {
 	}
 }
 
-func (t *dawgTarget) AttackerWays() int { return t.waysPer }
+func (t *dawgTarget) AttackerWays() int { return t.parts[ReqAttacker].Ways() }
 
 func (t *dawgTarget) Report(requestor int) perfctr.Report {
-	return perfctr.FromL1Stats(requestor, t.stats[requestor])
+	return perfctr.FromL1Stats(requestor, t.parts[requestor].RequestorStats(requestor))
 }
 
-func (t *dawgTarget) ResetStats() { t.stats = [2]cache.Stats{} }
+func (t *dawgTarget) ResetStats() {
+	for _, p := range t.parts {
+		p.ResetStats()
+	}
+}

@@ -124,18 +124,6 @@ type Stats struct {
 	UtagMisses     uint64
 }
 
-// Add accumulates o into s field-wise. The set-partitioned executor
-// uses it to fold per-partition counter blocks back together.
-func (s *Stats) Add(o Stats) {
-	s.Accesses += o.Accesses
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.CrossEvictions += o.CrossEvictions
-	s.Bypasses += o.Bypasses
-	s.UtagMisses += o.UtagMisses
-}
-
 // EmitEvents exports the counters as unprefixed named events — the
 // metrics.Source interface, satisfied structurally so this package
 // stays free of a metrics import. Wrap with metrics.Prefixed("l1d", s)
@@ -252,18 +240,14 @@ func utagHash(linearLine uint64) uint8 {
 	return uint8(x ^ x>>29)
 }
 
-func (c *Cache) reqStats(requestor int) *Stats {
-	return growStats(&c.perReq, requestor)
-}
-
-// growStats extends a per-requestor counter table to cover requestor
+// reqStats extends the per-requestor counter table to cover requestor
 // and returns its entry. The returned pointer is invalidated by any
-// later growth of the same table.
-func growStats(perReq *[]Stats, requestor int) *Stats {
-	for len(*perReq) <= requestor {
-		*perReq = append(*perReq, Stats{})
+// later growth of the table.
+func (c *Cache) reqStats(requestor int) *Stats {
+	for len(c.perReq) <= requestor {
+		c.perReq = append(c.perReq, Stats{})
 	}
-	return &(*perReq)[requestor]
+	return &c.perReq[requestor]
 }
 
 // Access performs one access, updating line state, replacement state, lock
@@ -274,13 +258,14 @@ func (c *Cache) Access(req Request) Result {
 	if req.Requestor < 0 {
 		panic("cache: negative requestor")
 	}
-	return c.accessInto(req, &c.stats, c.reqStats(req.Requestor))
+	return c.accessInto(req, c.reqStats(req.Requestor))
 }
 
-// accessInto is the full access path, counting events into st and rs
-// (the aggregate and per-requestor blocks — the cache's own under
-// Access, a partition's private pair under AccessBatchStats).
-func (c *Cache) accessInto(req Request, st, rs *Stats) Result {
+// accessInto is the full access path, counting events into the
+// aggregate block and rs, the requestor's block (resolved once per
+// requestor run by AccessBatch).
+func (c *Cache) accessInto(req Request, rs *Stats) Result {
+	st := &c.stats
 	set := int(req.PhysLine & c.setMask)
 	tag := req.PhysLine >> c.setShift
 	lines := c.set(set)

@@ -5,14 +5,13 @@
 // Table I eviction-probability study and every channel experiment run on
 // top of these implementations.
 //
-// One Policy instance tracks the access history of a single cache set. The
-// containing cache is responsible for filling invalid ways first; a Policy
-// is only consulted for a victim when the set is full.
+// The production engine is SetArray: the packed state of every set of a
+// cache in contiguous slices, dispatching directly on Kind. The containing
+// cache fills invalid ways first; the policy is only consulted for a
+// victim when the set is full.
 //
-// internal/cache's hot path does not run on Policy instances: it uses the
-// packed SetArray, which stores the state of every set of a cache in
-// contiguous slices and dispatches directly on Kind. The Policy interface
-// and its per-set implementations remain the reference semantics and the
-// thin adapter for tests, traces, and the per-domain DAWG partitions; the
-// equivalence fuzz target keeps the two in lock-step.
+// This package's tests hold a second, deliberately naive implementation
+// of each policy — one object per set behind a Policy interface — as the
+// reference semantics; the equivalence fuzz target keeps SetArray in
+// lock-step with it.
 package replacement

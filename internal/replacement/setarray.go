@@ -25,9 +25,9 @@ import (
 //	FIFO       one uint64 per set holding the round-robin next pointer.
 //	Random     stateless; victims are drawn from the generator.
 //
-// The per-set Policy implementations in this package remain the
-// reference semantics; a SetArray must behave, set for set, exactly like
-// an array of New(kind, ways, r) instances driven through the same
+// The per-set reference Policy implementations in this package's tests
+// define the semantics; a SetArray must behave, set for set, exactly
+// like an array of those oracles driven through the same
 // Touch/Fill/Victim sequence (the equivalence fuzz target pins this).
 type SetArray struct {
 	kind Kind
@@ -169,8 +169,8 @@ func (a *SetArray) Fill(set, way int) {
 	}
 }
 
-// Victim returns the way the policy would evict next in set. Like
-// Policy.Victim it does not mutate deterministic state; Random draws
+// Victim returns the way the policy would evict next in set. It does
+// not mutate deterministic state; Random draws
 // from its generator, exactly one draw per consultation.
 func (a *SetArray) Victim(set int) int {
 	if debugChecks {
@@ -378,9 +378,8 @@ func (a *SetArray) Reset() {
 	}
 }
 
-// ResetSet restores one set to its power-on state: the same convention
-// as the per-set Policy implementations (True LRU ages way 0 oldest, the
-// packed words all-zero).
+// ResetSet restores one set to its power-on state (True LRU ages way 0
+// oldest, the packed words all-zero).
 func (a *SetArray) ResetSet(set int) {
 	if debugChecks {
 		checkSet(set, a.sets)
@@ -401,8 +400,8 @@ func (a *SetArray) ResetSet(set int) {
 	}
 }
 
-// StateString renders one set's state in the same format as the
-// corresponding Policy implementation, for traces and the Table I study.
+// StateString renders one set's state compactly (e.g. "tree:0110101"),
+// for tests, debugging and the Table I study.
 func (a *SetArray) StateString(set int) string {
 	switch a.kind {
 	case TrueLRU:

@@ -3,125 +3,79 @@ package secure
 import (
 	"fmt"
 
+	"repro/internal/cache"
 	"repro/internal/replacement"
+	"repro/internal/rng"
 )
 
 // DAWGCache models the relevant property of DAWG (Kiriansky et al.,
 // Section IX-B): cache ways AND the replacement state are partitioned
-// between protection domains. Each domain owns a contiguous group of ways
-// per set and an independent replacement-policy instance over only those
-// ways, so no access by one domain can influence the victim selection — or
-// the observable timing — of another.
-//
-// The model is a single cache set per set-index (like cache.Cache) but with
-// per-domain sub-policies; it exposes just enough surface to run the LRU
-// channel protocols against it.
+// between protection domains. Each domain owns a private cache.Cache of
+// ways/domains ways per set — its own lines, packed replacement state
+// and counters — so no access by one domain can influence the victim
+// selection, or the observable timing, of another. Lookups search only
+// the accessing domain's partition: DAWG partitions hits too, since a
+// cross-domain hit would itself be a channel.
 type DAWGCache struct {
-	sets     int
-	waysPer  int // ways owned by each domain
-	domains  int
-	lines    [][]dawgLine           // [set][way]
-	policies [][]replacement.Policy // [set][domain]
-}
-
-type dawgLine struct {
-	valid bool
-	tag   uint64
+	parts []*cache.Cache // indexed by domain
 }
 
 // NewDAWG builds a partitioned cache: `ways` total ways per set divided
 // evenly among `domains` protection domains, running Tree-PLRU inside
 // each partition.
 func NewDAWG(sets, ways, domains int) *DAWGCache {
-	return NewDAWGWithPolicy(sets, ways, domains, replacement.TreePLRU)
+	return NewDAWGWithPolicy(sets, ways, domains, replacement.TreePLRU, nil)
 }
 
 // NewDAWGWithPolicy is NewDAWG with an explicit per-partition
 // replacement policy, for the secret-recovery defense matrix that
-// sweeps the attack across policies.
-func NewDAWGWithPolicy(sets, ways, domains int, pol replacement.Kind) *DAWGCache {
+// sweeps the attack across policies. r is required when pol is
+// replacement.Random; each partition draws its victims from its own
+// split of r, so one domain's misses never shift another's victim
+// sequence.
+func NewDAWGWithPolicy(sets, ways, domains int, pol replacement.Kind, r *rng.Rand) *DAWGCache {
 	if domains < 1 || ways%domains != 0 {
 		panic(fmt.Sprintf("secure: %d ways not divisible among %d domains", ways, domains))
 	}
-	d := &DAWGCache{sets: sets, waysPer: ways / domains, domains: domains}
-	d.lines = make([][]dawgLine, sets)
-	d.policies = make([][]replacement.Policy, sets)
-	for s := 0; s < sets; s++ {
-		d.lines[s] = make([]dawgLine, ways)
-		d.policies[s] = make([]replacement.Policy, domains)
-		for dom := 0; dom < domains; dom++ {
-			d.policies[s][dom] = replacement.New(pol, d.waysPer, nil)
+	d := &DAWGCache{parts: make([]*cache.Cache, domains)}
+	for dom := range d.parts {
+		cfg := cache.Config{Name: "DAWG-L1D", Sets: sets, Ways: ways / domains, LineSize: 64, Policy: pol}
+		if r != nil {
+			cfg.RNG = r.Split()
 		}
+		d.parts[dom] = cache.New(cfg)
 	}
 	return d
 }
 
+// Domain returns the partition owned by one domain. Accesses to it must
+// carry that domain as their requestor.
+func (d *DAWGCache) Domain(domain int) *cache.Cache { return d.parts[domain] }
+
 // Reset returns every partition to power-on state: all lines invalid,
-// every domain's replacement policy at its reset value. Trial loops
-// reuse one DAWGCache through Reset instead of reconstructing the
-// sets × domains policy matrix per trial.
+// replacement state at its reset value, counters zeroed. Trial loops
+// reuse one DAWGCache through Reset instead of reconstructing it.
 func (d *DAWGCache) Reset() {
-	for s := range d.lines {
-		for w := range d.lines[s] {
-			d.lines[s][w] = dawgLine{}
-		}
-		for _, p := range d.policies[s] {
-			p.Reset()
-		}
+	for _, p := range d.parts {
+		p.Reset()
 	}
 }
 
-// Access performs a load by `domain`. Lookups search only the domain's own
-// ways (DAWG partitions hits too — a cross-domain hit would itself be a
-// channel), and replacement state updates stay inside the domain.
+// Access performs a load by `domain` in its own partition and reports
+// whether it hit.
 func (d *DAWGCache) Access(physLine uint64, domain int) (hit bool) {
-	if domain < 0 || domain >= d.domains {
-		panic(fmt.Sprintf("secure: domain %d out of range", domain))
-	}
-	set := int(physLine % uint64(d.sets))
-	tag := physLine / uint64(d.sets)
-	base := domain * d.waysPer
-	pol := d.policies[set][domain]
-	for w := 0; w < d.waysPer; w++ {
-		ln := &d.lines[set][base+w]
-		if ln.valid && ln.tag == tag {
-			pol.OnAccess(w)
-			return true
-		}
-	}
-	// Miss: fill an invalid way of the domain or evict its own victim.
-	for w := 0; w < d.waysPer; w++ {
-		ln := &d.lines[set][base+w]
-		if !ln.valid {
-			ln.valid, ln.tag = true, tag
-			pol.OnAccess(w)
-			return false
-		}
-	}
-	w := pol.Victim()
-	d.lines[set][base+w] = dawgLine{valid: true, tag: tag}
-	pol.OnAccess(w)
-	return false
+	return d.parts[domain].Access(cache.Request{PhysLine: physLine, Requestor: domain}).Hit
 }
 
 // Contains reports whether the line is resident in the given domain's
 // partition.
 func (d *DAWGCache) Contains(physLine uint64, domain int) bool {
-	set := int(physLine % uint64(d.sets))
-	tag := physLine / uint64(d.sets)
-	base := domain * d.waysPer
-	for w := 0; w < d.waysPer; w++ {
-		ln := d.lines[set][base+w]
-		if ln.valid && ln.tag == tag {
-			return true
-		}
-	}
-	return false
+	return d.parts[domain].Contains(physLine)
 }
 
 // PolicyState renders one domain's replacement state in a set.
 func (d *DAWGCache) PolicyState(set, domain int) string {
-	return d.policies[set][domain].StateString()
+	return d.parts[domain].PolicyState(set)
 }
 
 // DAWGLeakExperiment runs the Algorithm 2 single-set protocol against the

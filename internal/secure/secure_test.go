@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/replacement"
 	"repro/internal/rng"
 )
 
@@ -164,5 +165,48 @@ func TestDAWGEvictsWithinDomainOnly(t *testing.T) {
 		if !d.Contains(line(10+i), 1) {
 			t.Errorf("domain 1 line %d evicted by domain 0 overflow", 10+i)
 		}
+	}
+}
+
+// A FIFO partition rotates on fills only, in fill order, and the other
+// domain's traffic cannot move its pointer (Section IX-A's fill-only
+// FIFO semantics, kept inside each DAWG partition).
+func TestDAWGFIFOPartitionEvictsInFillOrder(t *testing.T) {
+	d := NewDAWGWithPolicy(64, 8, 2, replacement.FIFO, nil)
+	const set = 3
+	line := func(i int) uint64 { return uint64(i)*64 + set }
+	for i := 0; i < 4; i++ {
+		d.Access(line(i), 1)
+	}
+	before := d.PolicyState(set, 1)
+	for i := 100; i < 140; i++ {
+		d.Access(line(i), 0)
+	}
+	if got := d.PolicyState(set, 1); got != before {
+		t.Fatalf("domain 0 traffic moved domain 1's FIFO pointer: %s -> %s", before, got)
+	}
+	// A hit on the oldest line must not save it: FIFO ignores hits.
+	if !d.Access(line(0), 1) {
+		t.Fatal("line 0 should still be resident")
+	}
+	for n, fill := range []int{10, 11} {
+		d.Access(line(fill), 1)
+		for i := 0; i < 4; i++ {
+			if want := i > n; d.Contains(line(i), 1) != want {
+				t.Errorf("after filling line %d: line %d resident=%v, want %v", fill, i, !want, want)
+			}
+		}
+	}
+}
+
+// Random replacement inside a partition draws from a generator split
+// per domain.
+func TestDAWGRandomPartitionsRun(t *testing.T) {
+	d := NewDAWGWithPolicy(64, 8, 2, replacement.Random, rng.New(1))
+	for i := 0; i < 64; i++ {
+		d.Access(uint64(i)*64, i&1)
+	}
+	if s := d.Domain(1).Stats(); s.Evictions == 0 || s.CrossEvictions != 0 {
+		t.Errorf("domain 1 counters %+v: want own-domain evictions only", s)
 	}
 }
