@@ -924,7 +924,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 		pool := engine.NewPoolWithTelemetry(0, tel)
 		defer pool.Close()
 		run(b, pool)
-		es := metrics.Snapshot(reg)
+		es := reg.Snapshot()
 		want := float64(b.N * cells)
 		if es["engine_cells_completed_total"] != want || es["engine_cell_wall_seconds.count"] != want {
 			b.Fatalf("telemetry lost cells: completed=%v histogram=%v, want %v",

@@ -6,10 +6,10 @@
 // indistinguishable from benign contention — this package makes that claim
 // executable.
 //
-// The monitor's criteria are data, not code: each Rule names a derived
-// metric from the internal/metrics expression layer ("l1d.miss_rate" =
-// "l1d.misses / l1d.accesses") and the threshold it is compared against,
-// so Explain can cite the exact formula a verdict was computed from.
+// Every criterion is a ratio of two perfctr counters, compared against a
+// threshold. Each rule carries its metric name and formula as text
+// ("l1d.miss_rate" = "l1d.misses / l1d.accesses"), so Explain can cite
+// the exact formula a verdict was computed from.
 package detect
 
 import (
@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"repro/internal/hier"
-	"repro/internal/metrics"
 	"repro/internal/perfctr"
 )
 
@@ -92,22 +91,15 @@ func AttackThresholds() Thresholds {
 	return th
 }
 
-// Gate is a precondition on a Rule: the named event must have reached
-// Min before the rule's metric is even consulted (sample-size floors).
-type Gate struct {
-	Event string
-	Min   float64
-}
-
-// Rule is one detector criterion as data: a named derived metric from
-// the metrics-definition layer, the threshold it is compared against
-// (strict >), and the gates that make the comparison meaningful. Label
-// is the human name used in Explain output.
-type Rule struct {
-	Metric    string
-	Label     string
-	Threshold float64
-	Gates     []Gate
+// rule is one detector criterion: a rate read from the report, the
+// threshold it is compared against (strict >), and an optional
+// sample-size gate that must hold before the rate is consulted. metric
+// and formula name the rate for Explain.
+type rule struct {
+	label, metric, formula string
+	threshold              float64
+	rate                   func(perfctr.Report) float64
+	gate                   func(perfctr.Report) bool
 }
 
 // rules compiles the configured thresholds into the ordered criterion
@@ -115,28 +107,35 @@ type Rule struct {
 // the discriminative one (a benign memory-heavy program can exceed any
 // miss-rate line, but it churns its own working set — systematically
 // displacing another process's lines is the prime-and-probe signature).
-func (th Thresholds) rules() []Rule {
-	var rules []Rule
+func (th Thresholds) rules() []rule {
+	var rules []rule
 	if th.L1CrossEvictionRate > 0 {
-		rules = append(rules, Rule{
-			Metric: "l1d.cross_eviction_rate", Label: "L1D cross-eviction rate",
-			Threshold: th.L1CrossEvictionRate,
-			Gates:     []Gate{{Event: "l1d.cross_evictions", Min: float64(th.MinCrossEvictions)}},
+		rules = append(rules, rule{
+			label: "L1D cross-eviction rate", metric: "l1d.cross_eviction_rate",
+			formula: "l1d.cross_evictions / l1d.accesses", threshold: th.L1CrossEvictionRate,
+			rate: func(r perfctr.Report) float64 { return r.L1D.CrossEvictionRate() },
+			gate: func(r perfctr.Report) bool { return r.L1D.CrossEvictions >= th.MinCrossEvictions },
 		})
 	}
-	rules = append(rules,
-		Rule{Metric: "l1d.miss_rate", Label: "L1D miss rate", Threshold: th.L1MissRate},
-		Rule{Metric: "l2.miss_rate", Label: "L2 miss rate", Threshold: th.L2MissRate,
-			Gates: []Gate{{Event: "l2.accesses", Min: float64(th.MinL2Refs)}}},
+	return append(rules,
+		rule{
+			label: "L1D miss rate", metric: "l1d.miss_rate",
+			formula: "l1d.misses / l1d.accesses", threshold: th.L1MissRate,
+			rate: func(r perfctr.Report) float64 { return r.L1D.MissRate() },
+		},
+		rule{
+			label: "L2 miss rate", metric: "l2.miss_rate",
+			formula: "l2.misses / l2.accesses", threshold: th.L2MissRate,
+			rate: func(r perfctr.Report) float64 { return r.L2.MissRate() },
+			gate: func(r perfctr.Report) bool { return r.L2.Accesses >= th.MinL2Refs },
+		},
 	)
-	return rules
 }
 
 // Monitor samples per-process counters from a hierarchy and classifies.
 type Monitor struct {
 	th    Thresholds
-	rules []Rule
-	set   *metrics.Set
+	rules []rule
 }
 
 // NewMonitor builds a monitor; zero-value thresholds take the defaults.
@@ -144,12 +143,7 @@ func NewMonitor(th Thresholds) *Monitor {
 	if th == (Thresholds{}) {
 		th = DefaultThresholds()
 	}
-	return &Monitor{th: th, rules: th.rules(), set: metrics.Default()}
-}
-
-// Rules returns the compiled criterion table, in evaluation order.
-func (m *Monitor) Rules() []Rule {
-	return append([]Rule(nil), m.rules...)
+	return &Monitor{th: th, rules: th.rules()}
 }
 
 // Classify inspects one process's counters.
@@ -159,31 +153,19 @@ func (m *Monitor) Classify(rep perfctr.Report) Verdict {
 }
 
 // classify returns the verdict together with the reason: which rule
-// tripped (citing its defining expression), or why the monitor stayed
+// tripped (citing its formula), or why the monitor stayed
 // quiet.
 func (m *Monitor) classify(rep perfctr.Report) (Verdict, string) {
 	if rep.L1D.Accesses < m.th.MinAccesses {
 		return Benign, fmt.Sprintf("below the %d-access decision floor", m.th.MinAccesses)
 	}
-	es := metrics.Snapshot(rep)
 	for _, rule := range m.rules {
-		gated := false
-		for _, g := range rule.Gates {
-			if es[g.Event] < g.Min {
-				gated = true
-				break
-			}
-		}
-		if gated {
+		if rule.gate != nil && !rule.gate(rep) {
 			continue
 		}
-		v, err := m.set.Eval(rule.Metric, es)
-		if err != nil {
-			continue // metric over events the report did not emit (no LLC, say)
-		}
-		if v > rule.Threshold {
+		if v := rule.rate(rep); v > rule.threshold {
 			return Suspicious, fmt.Sprintf("%s %.2f%% > threshold %.2f%% [%s = %s]",
-				rule.Label, 100*v, 100*rule.Threshold, rule.Metric, m.set.ExprOf(rule.Metric))
+				rule.label, 100*v, 100*rule.threshold, rule.metric, rule.formula)
 		}
 	}
 	return Benign, "no threshold exceeded"
@@ -200,21 +182,13 @@ func (m *Monitor) ClassifyProcess(h *hier.Hierarchy, requestor int) Verdict {
 // rate and count are included whenever that criterion is enabled.
 func (m *Monitor) Explain(rep perfctr.Report) string {
 	v, reason := m.classify(rep)
-	es := metrics.Snapshot(rep)
-	rate := func(name string) float64 {
-		r, err := m.set.Eval(name, es)
-		if err != nil {
-			return 0
-		}
-		return r
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s (%s; L1D miss %.2f%% over %d refs, L2 miss %.2f%% over %d refs",
-		v, reason, 100*rate("l1d.miss_rate"), rep.L1D.Accesses,
-		100*rate("l2.miss_rate"), rep.L2.Accesses)
+		v, reason, 100*rep.L1D.MissRate(), rep.L1D.Accesses,
+		100*rep.L2.MissRate(), rep.L2.Accesses)
 	if m.th.L1CrossEvictionRate > 0 {
 		fmt.Fprintf(&b, ", L1D cross-eviction %.2f%% (%d displaced)",
-			100*rate("l1d.cross_eviction_rate"), rep.L1D.CrossEvictions)
+			100*rep.L1D.CrossEvictionRate(), rep.L1D.CrossEvictions)
 	}
 	b.WriteString(")")
 	return b.String()

@@ -41,7 +41,7 @@ func TestPooledTelemetryCountsCells(t *testing.T) {
 		total += len(results)
 	}
 
-	es := metrics.Snapshot(reg)
+	es := reg.Snapshot()
 	if got := es["engine_cells_dispatched_total"]; got != float64(total) {
 		t.Errorf("dispatched = %v, want %d", got, total)
 	}
@@ -85,7 +85,7 @@ func TestTelemetryCountsSkips(t *testing.T) {
 		}
 	}
 
-	es := metrics.Snapshot(reg)
+	es := reg.Snapshot()
 	if es["engine_cells_skipped_total"] != 10 || es["engine_cells_dispatched_total"] != 0 {
 		t.Errorf("skipped=%v dispatched=%v, want 10/0",
 			es["engine_cells_skipped_total"], es["engine_cells_dispatched_total"])
@@ -107,7 +107,7 @@ func TestTelemetryCountsPanics(t *testing.T) {
 	}
 	Run(jobs, Options{Workers: 1, ContainPanics: true, Telemetry: tel})
 
-	es := metrics.Snapshot(reg)
+	es := reg.Snapshot()
 	if es["engine_cells_panicked_total"] != 1 || es["engine_cells_completed_total"] != 2 {
 		t.Errorf("panicked=%v completed=%v, want 1/2",
 			es["engine_cells_panicked_total"], es["engine_cells_completed_total"])

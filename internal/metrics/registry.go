@@ -244,14 +244,21 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return err
 }
 
-func (f *family) writeText(b *strings.Builder) {
+// snapshot copies the family's series keys and instruments, in
+// registration order, under its lock.
+func (f *family) snapshot() ([]string, []any) {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	keys := append([]string(nil), f.order...)
 	series := make([]any, len(keys))
 	for i, k := range keys {
 		series[i] = f.series[k]
 	}
-	f.mu.Unlock()
+	return keys, series
+}
+
+func (f *family) writeText(b *strings.Builder) {
+	keys, series := f.snapshot()
 	if len(keys) == 0 {
 		return
 	}
@@ -331,41 +338,50 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	r.WriteText(w)
 }
 
-// EmitEvents exports every series as an expression-layer event, making
-// the Registry a Source: unlabeled series under their family name,
-// labeled series as name.value1.value2 with values sanitized onto the
-// name charset; histograms export name.count and name.sum.
-func (r *Registry) EmitEvents(emit func(string, float64)) {
+// Snapshot reads every series into a flat map, for tests and callers
+// that want values rather than the exposition text: unlabeled series
+// under their family name, labeled series as name.value1.value2 (label
+// values with every byte outside [A-Za-z0-9_] replaced by '_'), and
+// histograms as name.count and name.sum. Series whose names collide
+// after that mapping are summed.
+func (r *Registry) Snapshot() map[string]float64 {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.fams))
 	for _, f := range r.fams {
 		fams = append(fams, f)
 	}
 	r.mu.Unlock()
+	out := map[string]float64{}
 	for _, f := range fams {
-		f.mu.Lock()
-		keys := append([]string(nil), f.order...)
-		series := make([]any, len(keys))
-		for i, k := range keys {
-			series[i] = f.series[k]
-		}
-		f.mu.Unlock()
+		keys, series := f.snapshot()
 		for i, key := range keys {
 			name := f.name
 			if len(f.labels) > 0 {
 				for _, v := range strings.Split(key, labelSep) {
-					name += "." + sanitizeEvent(v)
+					name += "." + sanitizeLabel(v)
 				}
 			}
 			switch s := series[i].(type) {
 			case *Counter:
-				emit(name, float64(s.Value()))
+				out[name] += float64(s.Value())
 			case *Gauge:
-				emit(name, float64(s.Value()))
+				out[name] += float64(s.Value())
 			case *Histogram:
-				emit(name+".count", float64(s.Count()))
-				emit(name+".sum", s.Sum())
+				out[name+".count"] += float64(s.Count())
+				out[name+".sum"] += s.Sum()
 			}
 		}
 	}
+	return out
+}
+
+// sanitizeLabel maps a label value onto [A-Za-z0-9_] for Snapshot keys.
+func sanitizeLabel(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if !(c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')) {
+			b[i] = '_'
+		}
+	}
+	return string(b)
 }

@@ -67,7 +67,7 @@ func TestRegistryServeHTTP(t *testing.T) {
 	}
 }
 
-func TestRegistryAsSource(t *testing.T) {
+func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("jobs_done_total", "").Add(5)
 	r.CounterVec("http_requests_total", "", "route", "code").With("/v1/jobs", "200").Add(9)
@@ -75,7 +75,7 @@ func TestRegistryAsSource(t *testing.T) {
 	h.Observe(0.25)
 	h.Observe(0.75)
 
-	es := Snapshot(r)
+	es := r.Snapshot()
 	if es["jobs_done_total"] != 5 {
 		t.Errorf("jobs_done_total = %v", es["jobs_done_total"])
 	}
@@ -86,10 +86,12 @@ func TestRegistryAsSource(t *testing.T) {
 		t.Errorf("histogram events: count=%v sum=%v", es["lat_seconds.count"], es["lat_seconds.sum"])
 	}
 
-	// The expression layer can compute over live telemetry.
-	v, err := Default().EvalExpr("lat_seconds.sum / lat_seconds.count", r)
-	if err != nil || v != 0.5 {
-		t.Fatalf("mean latency = %v, %v; want 0.5", v, err)
+	// Label values that map to the same key accumulate.
+	v := r.CounterVec("sanitized_total", "", "route")
+	v.With("a/b").Add(2)
+	v.With("a.b").Add(3)
+	if got := r.Snapshot()["sanitized_total.a_b"]; got != 5 {
+		t.Errorf("colliding series = %v, want 5", got)
 	}
 }
 

@@ -3,11 +3,6 @@
 // level of the hierarchy, as Linux perf would report them. In the simulator
 // the counters are exact (the cache layer attributes every access to a
 // requestor id).
-//
-// Report and LevelCounters implement the metrics.Source interface
-// structurally, exporting their counters as named PMU-style events
-// ("l1d.accesses", "l2.misses", ...) for the derived-metric expression
-// layer in internal/metrics.
 package perfctr
 
 import (
@@ -16,7 +11,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/hier"
-	"repro/internal/metrics"
 )
 
 // LevelCounters is the per-level counter view for one process.
@@ -58,15 +52,6 @@ func (l LevelCounters) CrossEvictionRate() float64 {
 	return float64(l.CrossEvictions) / float64(l.Accesses)
 }
 
-// EmitEvents exports the counters as unprefixed events ("accesses",
-// "misses", "evictions", "cross_evictions") — a metrics.Source.
-func (l LevelCounters) EmitEvents(emit func(string, float64)) {
-	emit("accesses", float64(l.Accesses))
-	emit("misses", float64(l.Misses))
-	emit("evictions", float64(l.Evictions))
-	emit("cross_evictions", float64(l.CrossEvictions))
-}
-
 // Report is the perf view of one process (requestor id) over a run.
 type Report struct {
 	Requestor int
@@ -74,18 +59,6 @@ type Report struct {
 	L2        LevelCounters
 	LLC       LevelCounters
 	HasLLC    bool
-}
-
-// EmitEvents exports every level's counters under the standard event
-// prefixes ("l1d.accesses", "l2.misses", "llc.cross_evictions", ...),
-// making Report a metrics.Source. LLC events are only emitted when the
-// hierarchy modeled one.
-func (r Report) EmitEvents(emit func(string, float64)) {
-	metrics.Prefixed("l1d", r.L1D).EmitEvents(emit)
-	metrics.Prefixed("l2", r.L2).EmitEvents(emit)
-	if r.HasLLC {
-		metrics.Prefixed("llc", r.LLC).EmitEvents(emit)
-	}
 }
 
 // Collect reads the per-requestor counters out of the hierarchy.
@@ -135,22 +108,13 @@ func CollectCombined(h *hier.Hierarchy, requestors ...int) Report {
 	return rep
 }
 
-// String renders the report in the Table VI style. The percentages are
-// the metrics-layer definitions ("l1d.miss_rate" etc.) evaluated over
-// this report's events.
+// String renders the report in the Table VI style: each level's miss
+// rate as a percentage.
 func (r Report) String() string {
-	set := metrics.Default()
-	rate := func(name string) float64 {
-		v, err := set.Eval(name, r)
-		if err != nil {
-			return 0
-		}
-		return v
-	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "L1D %6.2f%%  L2 %6.2f%%", 100*rate("l1d.miss_rate"), 100*rate("l2.miss_rate"))
+	fmt.Fprintf(&b, "L1D %6.2f%%  L2 %6.2f%%", 100*r.L1D.MissRate(), 100*r.L2.MissRate())
 	if r.HasLLC {
-		fmt.Fprintf(&b, "  LLC %6.2f%%", 100*rate("llc.miss_rate"))
+		fmt.Fprintf(&b, "  LLC %6.2f%%", 100*r.LLC.MissRate())
 	}
 	return b.String()
 }

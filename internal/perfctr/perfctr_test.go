@@ -85,8 +85,18 @@ func TestCombinedSumsAndRenders(t *testing.T) {
 }
 
 func TestMissRateIdle(t *testing.T) {
-	var l LevelCounters
-	if l.MissRate() != 0 {
-		t.Error("idle miss rate not 0")
+	for _, tc := range []struct {
+		name string
+		got  float64
+		want float64
+	}{
+		{"idle miss rate", LevelCounters{}.MissRate(), 0},
+		{"miss rate", LevelCounters{Accesses: 8, Misses: 2}.MissRate(), 0.25},
+		{"idle cross-eviction rate", LevelCounters{CrossEvictions: 3}.CrossEvictionRate(), 0},
+		{"cross-eviction rate", LevelCounters{Accesses: 200, CrossEvictions: 5}.CrossEvictionRate(), 0.025},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %v, want %v", tc.name, tc.got, tc.want)
+		}
 	}
 }

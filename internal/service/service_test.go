@@ -183,6 +183,7 @@ func TestValidationRejectsBadSpecs(t *testing.T) {
 		{"oversized payload", `{"kind":"stream","seed":1,"stream":{"payloadBytes":1000000}}`, "stream.payloadBytes"},
 		{"negative threshold", `{"kind":"roc","seed":1,"roc":{"thresholds":[-0.5]}}`, "roc.thresholds[0]"},
 		{"wrong section", `{"kind":"roc","seed":1,"attack":{}}`, "kind"},
+		{"overflowing deadline", `{"kind":"attack","seed":1,"deadline_ms":10000000000000}`, "deadline_ms"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

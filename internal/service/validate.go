@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -27,20 +28,28 @@ func (e *errs) add(field, format string, args ...any) {
 	e.list = append(e.list, FieldError{Field: field, Message: fmt.Sprintf(format, args...)})
 }
 
+// maxDeadlineMS is the largest deadline_ms that fits a time.Duration.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
 // compile validates a submitted spec and resolves it onto the root
 // package's sweep types. It is the daemon's line of defense against
 // the constructor panics the one-shot CLIs are allowed to die on
 // (cache.New on a non-power-of-two set count or zero ways,
-// trace.NewBuilder, stats.NewHistogram): every name and every numeric
-// bound is checked here, with a field-level message, before any
-// simulator object exists. A non-empty error list means a 400 — the
-// spec never reaches the engine.
+// stats.NewHistogram): every name and every numeric bound is checked
+// here, with a field-level message, before any simulator object
+// exists. A non-empty error list means a 400 — the spec never reaches
+// the engine.
 func compile(sp Spec) (*compiledSpec, []FieldError) {
 	var e errs
 	c := &compiledSpec{kind: sp.Kind, seed: sp.Seed}
-	if sp.DeadlineMS < 0 {
+	switch {
+	case sp.DeadlineMS < 0:
 		e.add("deadline_ms", "must be >= 0 (0 = no per-job deadline)")
-	} else {
+	case sp.DeadlineMS > maxDeadlineMS:
+		// Larger values overflow time.Duration into a negative deadline,
+		// which would run the job with no deadline at all.
+		e.add("deadline_ms", "must be <= %d", maxDeadlineMS)
+	default:
 		c.deadline = time.Duration(sp.DeadlineMS) * time.Millisecond
 	}
 
