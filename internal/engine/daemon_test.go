@@ -14,6 +14,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/rng"
+	"repro/internal/sched"
 )
 
 // panicJobs builds n jobs where job `bad` panics and every other job
@@ -245,6 +248,54 @@ func TestPoolSurvivesJobPanic(t *testing.T) {
 	for i, r := range after {
 		if r.Err != nil {
 			t.Fatalf("post-panic run job %d failed: %v", i, r.Err)
+		}
+	}
+}
+
+// A panic inside a simulated program surfaces from sched.Machine.Run on
+// the cell's own goroutine, so ContainPanics turns it into that cell's
+// *PanicError while the sibling cells, each a two-thread SMT machine
+// with a spinning sender, complete.
+func TestSchedProgramPanicContained(t *testing.T) {
+	const bad = 3
+	jobs := make([]Job[int], 8)
+	for i := range jobs {
+		i := i
+		jobs[i] = Job[int]{Name: "sched", Seed: uint64(i + 1), Run: func(seed uint64) int {
+			m := sched.New(sched.Config{RNG: rng.New(seed), Mode: sched.SMT})
+			m.AddThread("sender", 0, func(e *sched.Env) {
+				for {
+					e.Busy(10)
+				}
+			})
+			steps := 0
+			m.AddThread("receiver", 1, func(e *sched.Env) {
+				for ; steps < 100; steps++ {
+					e.Busy(100)
+				}
+				if i == bad {
+					panic("boom")
+				}
+				e.StopAll()
+			})
+			m.Run(1 << 40)
+			return steps
+		}}
+	}
+	jobs[bad].Name = "bad"
+	for _, workers := range []int{1, 4} {
+		rs := Run(jobs, Options{Workers: workers, ContainPanics: true})
+		for i, r := range rs {
+			if i == bad {
+				var pe *PanicError
+				if !errors.As(r.Err, &pe) || pe.Job != "bad" || pe.Value != "boom" {
+					t.Fatalf("workers=%d: cell %d Err = %v, want *PanicError wrapping \"boom\"", workers, i, r.Err)
+				}
+				continue
+			}
+			if r.Err != nil || r.Value != 100 {
+				t.Errorf("workers=%d: sibling %d got (%d, %v), want (100, nil)", workers, i, r.Value, r.Err)
+			}
 		}
 	}
 }

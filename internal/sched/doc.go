@@ -5,11 +5,12 @@
 // alternating on the core under an OS round-robin scheduler).
 //
 // Programs are ordinary Go functions that receive an *Env and issue memory
-// accesses, busy-waits and timer reads through it. Each program runs on its
-// own goroutine, but execution is strictly cooperative — exactly one
-// program runs at any instant, resumed and suspended by the scheduler
-// around every charged action — so simulations are fully deterministic
-// given the seed.
+// accesses, busy-waits and timer reads through it. Each program runs as
+// an iter.Pull coroutine driven by the goroutine that calls Machine.Run:
+// the scheduler resumes it, and it yields back from inside a charged
+// action whenever the scheduling decision could change. Exactly one program
+// runs at any instant, so simulations are fully deterministic given the
+// seed, and a panic in a program comes out of Machine.Run.
 //
 // Time accounting:
 //

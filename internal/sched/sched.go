@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/hier"
 	"repro/internal/mem"
@@ -71,22 +72,19 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-type yieldMsg struct {
-	cycles uint64
-	done   bool
-}
-
 type thread struct {
 	name string
 	req  int
-	idx  int // position in Machine.threads, the scheduler's tie-break
 	fn   func(*Env)
 
-	resume chan struct{}
-	yield  chan yieldMsg
+	// next resumes the program's coroutine until its next yield (the
+	// cycles it charged) or its return (ok == false); stop unwinds a
+	// suspended program. Both are nil until the thread first runs.
+	next  func() (cycles uint64, ok bool)
+	stop  func()
+	yield func(cycles uint64) bool
 
-	started bool
-	done    bool
+	done bool
 
 	// readyWall is, under SMT, the wall time at which the thread's most
 	// recent action completes (i.e. when it may issue its next action).
@@ -98,20 +96,21 @@ type thread struct {
 	wallNow uint64
 }
 
+// killSentinel is the panic charge raises to unwind a suspended
+// program once close has stopped its coroutine.
 type killSentinel struct{}
 
 // Machine owns the threads and the shared hierarchy and advances time.
 //
 // The hot path is charge: every simulated action suspends the acting
-// program for its cycle cost. Parking a goroutine and waking the
-// scheduler costs two channel handoffs — three orders of magnitude more
-// than the simulated cache access itself — so charge applies the cost
-// inline and only parks when the scheduling decision could actually
-// change (another thread is further behind, the time slice or the wall
-// limit is exhausted, or the machine was stopped). The action order, and
-// therefore every RNG draw and cache update, is bit-identical to the
-// park-on-every-action implementation; the determinism and golden tests
-// pin this.
+// program for its cycle cost. Switching from the program's coroutine to
+// the scheduler loop and back costs far more than the simulated cache
+// access itself, so charge applies the cost inline and only yields when
+// the scheduling decision could actually change (another thread is
+// further behind, the time slice or the wall limit is exhausted, or the
+// machine was stopped). The action order, and therefore every RNG draw
+// and cache update, is bit-identical to yielding on every action; the
+// determinism and golden tests pin this.
 type Machine struct {
 	cfg     Config
 	threads []*thread
@@ -121,7 +120,6 @@ type Machine struct {
 	// visible to charge so a short action can be consumed inline.
 	sliceEnd uint64
 	ran      bool
-	closed   bool
 	stopped  bool
 }
 
@@ -144,22 +142,21 @@ func (m *Machine) AddThread(name string, req int, fn func(*Env)) {
 	if m.ran {
 		panic("sched: AddThread after Run")
 	}
-	m.threads = append(m.threads, &thread{
-		name: name, req: req, idx: len(m.threads), fn: fn,
-		resume: make(chan struct{}),
-		yield:  make(chan yieldMsg, 1),
-	})
+	m.threads = append(m.threads, &thread{name: name, req: req, fn: fn})
 }
 
 // Run advances simulated time until every thread finishes or the given
-// wall-time limit (in cycles) is reached, then reaps all threads. It may be
-// called once per Machine.
+// wall-time limit (in cycles) is reached, then unwinds every suspended
+// program. It may be called once per Machine. A panic in a program
+// body comes out of Run, on the caller's goroutine, with its original
+// value; the other programs are unwound first.
 func (m *Machine) Run(limit uint64) {
 	if m.ran {
 		panic("sched: Run called twice")
 	}
 	m.ran = true
 	m.limit = limit
+	defer m.close()
 	switch m.cfg.Mode {
 	case SMT:
 		m.runSMT(limit)
@@ -168,7 +165,6 @@ func (m *Machine) Run(limit uint64) {
 	default:
 		panic(fmt.Sprintf("sched: unknown mode %d", int(m.cfg.Mode)))
 	}
-	m.close()
 }
 
 // Now returns the machine's idea of elapsed time: the core clock under
@@ -186,31 +182,33 @@ func (m *Machine) Now() uint64 {
 	return max
 }
 
+// start wraps t's program in a coroutine. The program runs only while
+// Run's goroutine waits in next, so exactly one program runs at any
+// instant, and its panic comes out of next.
 func (m *Machine) start(t *thread) {
-	t.started = true
-	go func() {
+	t.next, t.stop = iter.Pull(func(yield func(uint64) bool) {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(killSentinel); ok {
-					return // machine shut down while we were parked
+					return // close unwound the program while it was suspended
 				}
 				panic(r)
 			}
 		}()
+		t.yield = yield
 		t.fn(&Env{m: m, t: t})
-		t.yield <- yieldMsg{done: true}
-	}()
+	})
 }
 
-// step resumes t (starting it if necessary) and returns its next yield.
-func (m *Machine) step(t *thread) yieldMsg {
+// step resumes t (starting it if necessary) until it next yields, and
+// returns the cycles it charged, or done once the program has returned.
+func (m *Machine) step(t *thread) (cycles uint64, done bool) {
 	t.wallNow = m.threadNow(t)
-	if !t.started {
+	if t.next == nil {
 		m.start(t)
-	} else {
-		t.resume <- struct{}{}
 	}
-	return <-t.yield
+	cycles, ok := t.next()
+	return cycles, !ok
 }
 
 func (m *Machine) threadNow(t *thread) uint64 {
@@ -222,45 +220,33 @@ func (m *Machine) threadNow(t *thread) uint64 {
 
 // runSMT resumes the runnable thread whose clock is furthest behind.
 // Action costs (including the SMT jitter draw) are applied by charge at
-// the moment each action completes; a thread only parks — and control
-// only returns here — when it is no longer the thread this loop would
-// pick, so a burst of consecutive actions by one hyper-thread costs one
-// goroutine handoff instead of one per action.
+// the moment each action completes; a thread only yields — and control
+// only returns here — when pickSMT no longer picks it, so a burst of
+// consecutive actions by one hyper-thread costs one coroutine switch
+// instead of one per action.
 func (m *Machine) runSMT(limit uint64) {
 	for {
-		// Pick the runnable thread whose clock is furthest behind.
-		var t *thread
-		for _, c := range m.threads {
-			if c.done {
-				continue
-			}
-			if t == nil || c.readyWall < t.readyWall {
-				t = c
-			}
-		}
+		t := m.pickSMT()
 		if t == nil || t.readyWall >= limit || m.stopped {
 			return
 		}
-		if m.step(t).done {
+		if _, done := m.step(t); done {
 			t.done = true
 		}
 	}
 }
 
-// wouldResumeSMT reports whether the SMT scheduler's pick — the
-// lowest-indexed runnable thread with the smallest readyWall — would be
-// t again. charge's fast path keeps t running exactly when this holds,
-// which reproduces runSMT's selection order action for action.
-func (m *Machine) wouldResumeSMT(t *thread) bool {
+// pickSMT is the SMT scheduling rule, shared by runSMT and charge's
+// fast path: the runnable thread with the smallest readyWall, the
+// lowest-indexed on a tie, or nil once every thread is done.
+func (m *Machine) pickSMT() *thread {
+	var t *thread
 	for _, c := range m.threads {
-		if c == t || c.done {
-			continue
-		}
-		if c.readyWall < t.readyWall || (c.readyWall == t.readyWall && c.idx < t.idx) {
-			return false
+		if !c.done && (t == nil || c.readyWall < t.readyWall) {
+			t = c
 		}
 	}
-	return true
+	return t
 }
 
 func (m *Machine) runTimeSliced(limit uint64) {
@@ -299,12 +285,12 @@ func (m *Machine) runTimeSliced(limit uint64) {
 			continue
 		}
 		if t.pendingBusy == 0 {
-			msg := m.step(t)
-			if msg.done {
+			cycles, done := m.step(t)
+			if done {
 				t.done = true
 				continue
 			}
-			t.pendingBusy = msg.cycles
+			t.pendingBusy = cycles
 			if t.pendingBusy == 0 {
 				t.pendingBusy = 1 // every action takes at least a cycle
 			}
@@ -321,28 +307,19 @@ func (m *Machine) runTimeSliced(limit uint64) {
 	}
 }
 
-// close reaps every parked goroutine.
+// close unwinds every program still suspended in charge: its yield
+// returns false and charge panics killSentinel, which start's wrapper
+// recovers. stop is a no-op for a program that returned or panicked.
 func (m *Machine) close() {
-	if m.closed {
-		return
-	}
-	m.closed = true
 	for _, t := range m.threads {
-		if t.started && !t.done {
-			close(t.resume)
-			// Drain a possibly buffered yield so the goroutine is
-			// not blocked on send (the buffer makes this moot, but
-			// draining keeps the invariant obvious).
-			select {
-			case <-t.yield:
-			default:
-			}
+		if t.stop != nil {
+			t.stop()
 		}
 	}
 }
 
 // Env is the interface a simulated program uses to act on the machine.
-// All methods must be called from the program's own goroutine.
+// All methods must be called from within the program's own body.
 type Env struct {
 	m *Machine
 	t *thread
@@ -355,13 +332,18 @@ type Env struct {
 // Fast path: the cost is applied inline — including the SMT jitter
 // draw, taken at exactly the point in the global RNG order where the
 // scheduler used to take it — and the program simply keeps running
-// whenever the scheduler would have picked this same thread again
-// (SMT: still the furthest-behind thread; time-sliced: the action fits
-// inside the current slice). Only when the scheduling decision could
-// change does the goroutine park and hand control back to the
-// scheduler loop, so the two-channel-handoff cost is paid per
-// interleaving point, not per action. The resulting action order is
-// identical to parking on every action.
+// whenever the scheduler would pick this same thread again (SMT:
+// pickSMT still returns it; time-sliced: the action fits inside the
+// current slice). Only when the scheduling decision could change does
+// the program yield to the scheduler loop, so a coroutine switch is
+// paid per interleaving point, not per action. The resulting action
+// order is identical to yielding on every action.
+//
+// The fast path stays although a coroutine switch is cheap: yielding on
+// every action ran perfbench's channel workload (Figure 4 plus a
+// Figure 6 sweep) at 6.5–6.9 s a round, against 2.6–3.1 s with the fast
+// path, and slower even than goroutines handed off over channels with
+// the fast path, 4.7–5.5 s (2-vCPU Xeon, Go 1.24.0).
 func (e *Env) charge(c uint64) {
 	m, t := e.m, e.t
 	if m.cfg.Mode == SMT {
@@ -373,7 +355,7 @@ func (e *Env) charge(c uint64) {
 		}
 		t.readyWall += uint64(cost + 0.5)
 		t.wallNow = t.readyWall
-		if !m.stopped && t.readyWall < m.limit && m.wouldResumeSMT(t) {
+		if !m.stopped && t.readyWall < m.limit && m.pickSMT() == t {
 			return
 		}
 	} else {
@@ -387,8 +369,7 @@ func (e *Env) charge(c uint64) {
 			return
 		}
 	}
-	t.yield <- yieldMsg{cycles: c}
-	if _, ok := <-t.resume; !ok {
+	if !t.yield(c) {
 		panic(killSentinel{})
 	}
 }

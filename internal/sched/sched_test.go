@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/hier"
 	"repro/internal/mem"
@@ -309,22 +311,59 @@ func TestEnvIdentity(t *testing.T) {
 }
 
 func TestNoGoroutineLeakAfterLimit(t *testing.T) {
-	// Threads parked in infinite loops must be reaped by Run's cleanup;
-	// this test passes if it terminates (the goroutines panic with the
-	// kill sentinel when resumed after close).
-	m, _, as := rig(SMT, 11)
-	a := as.Resolve(as.Alloc(1))
-	m.AddThread("spin1", 0, func(e *Env) {
-		for {
-			e.Access(a)
-		}
-	})
-	m.AddThread("spin2", 1, func(e *Env) {
-		for {
-			e.Busy(100)
-		}
-	})
-	m.Run(50_000)
+	// However Run ends, every program it started must be unwound before
+	// it returns: the goroutine count goes back to its pre-Run value. A
+	// program's panic must come out of Run with its original value, so
+	// the engine's per-cell recover can contain it.
+	spinners := func(m *Machine, a mem.Addr) {
+		m.AddThread("spin1", 0, func(e *Env) {
+			for {
+				e.Access(a)
+			}
+		})
+		m.AddThread("spin2", 1, func(e *Env) {
+			for {
+				e.Busy(100)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name   string
+		mode   Mode
+		third  func(*Env) // nil: no third thread
+		raises any        // what Run must panic with, or nil
+	}{
+		{"wall-limit/smt", SMT, nil, nil},
+		{"wall-limit/time-sliced", TimeSliced, nil, nil},
+		{"stop-all/smt", SMT, func(e *Env) { e.Busy(5000); e.StopAll() }, nil},
+		{"stop-all/time-sliced", TimeSliced, func(e *Env) { e.Busy(5000); e.StopAll() }, nil},
+		{"panic/smt", SMT, func(e *Env) { e.Busy(5000); panic("boom") }, "boom"},
+		{"panic/time-sliced", TimeSliced, func(e *Env) { e.Busy(5000); panic("boom") }, "boom"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, _, as := rig(tc.mode, 11)
+			spinners(m, as.Resolve(as.Alloc(1)))
+			if tc.third != nil {
+				m.AddThread("third", 2, tc.third)
+			}
+			before := runtime.NumGoroutine()
+			raised := func() (r any) {
+				defer func() { r = recover() }()
+				m.Run(3_000_000)
+				return nil
+			}()
+			if raised != tc.raises {
+				t.Fatalf("Run raised %v, want %v", raised, tc.raises)
+			}
+			deadline := time.Now().Add(time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
 }
 
 func TestTimeSlicedDeterminism(t *testing.T) {
