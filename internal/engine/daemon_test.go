@@ -299,3 +299,33 @@ func TestSchedProgramPanicContained(t *testing.T) {
 		}
 	}
 }
+
+// explodeInProgram is the named panic site TestSchedPanicStackShowsProgram
+// looks for in the cell's stack.
+//
+//go:noinline
+func explodeInProgram(e *sched.Env) {
+	e.Busy(100)
+	panic("boom")
+}
+
+// A sched program's panic is re-raised by iter.Pull from the
+// scheduler's step, so the stack the engine records must come from the
+// program's coroutine: the panicking function is on it, and the value
+// is the program's own.
+func TestSchedPanicStackShowsProgram(t *testing.T) {
+	jobs := []Job[int]{{Name: "sched", Seed: 1, Run: func(seed uint64) int {
+		m := sched.New(sched.Config{RNG: rng.New(seed), Mode: sched.SMT})
+		m.AddThread("victim", 0, explodeInProgram)
+		m.Run(1 << 40)
+		return 0
+	}}}
+	rs := Run(jobs, Options{Workers: 1, ContainPanics: true})
+	var pe *PanicError
+	if !errors.As(rs[0].Err, &pe) || pe.Value != "boom" {
+		t.Fatalf("Err = %v, want *PanicError with value \"boom\"", rs[0].Err)
+	}
+	if !strings.Contains(string(pe.Stack), "explodeInProgram") {
+		t.Errorf("PanicError.Stack does not show the panicking program function:\n%s", pe.Stack)
+	}
+}

@@ -78,6 +78,15 @@ type PanicError struct {
 	Stack []byte
 }
 
+// stackedPanic is a panic value raised away from where the panic began
+// that carries the original value and stack, as sched.Panic does for a
+// program's panic re-raised from its coroutine. PanicError reports
+// those rather than the carrier and the re-raise site.
+type stackedPanic interface {
+	PanicValue() any
+	PanicStack() []byte
+}
+
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("engine: job %q panicked: %v\n%s", e.Job, e.Value, e.Stack)
 }
@@ -211,7 +220,11 @@ func Run[T any](jobs []Job[T], opts Options) []Result[T] {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					out[i].Err = &PanicError{Job: jobs[i].Name, Value: r, Stack: debug.Stack()}
+					pe := &PanicError{Job: jobs[i].Name, Value: r, Stack: debug.Stack()}
+					if sp, ok := r.(stackedPanic); ok {
+						pe.Value, pe.Stack = sp.PanicValue(), sp.PanicStack()
+					}
+					out[i].Err = pe
 				}
 			}()
 			if jobs[i].RunW != nil {

@@ -14,9 +14,10 @@ package rng
 
 // Rand is a deterministic pseudo-random number generator.
 //
-// The zero value is not usable; construct instances with New. Rand is not
-// safe for concurrent use; give each goroutine (or each simulated hardware
-// thread) its own instance, typically via Split.
+// The zero value is not usable until Reseed; construct instances with
+// New, or hold one by value and Reseed it before the first draw. Rand
+// is not safe for concurrent use; give each goroutine (or each
+// simulated hardware thread) its own instance, typically via Split.
 type Rand struct {
 	s [4]uint64
 }

@@ -10,7 +10,8 @@
 // the scheduler resumes it, and it yields back from inside a charged
 // action whenever the scheduling decision could change. Exactly one program
 // runs at any instant, so simulations are fully deterministic given the
-// seed, and a panic in a program comes out of Machine.Run.
+// seed, and a panic in a program comes out of Machine.Run as a *Panic
+// holding the original value and the program's stack.
 //
 // Time accounting:
 //

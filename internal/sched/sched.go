@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"iter"
+	"runtime/debug"
 
 	"repro/internal/hier"
 	"repro/internal/mem"
@@ -148,8 +149,9 @@ func (m *Machine) AddThread(name string, req int, fn func(*Env)) {
 // Run advances simulated time until every thread finishes or the given
 // wall-time limit (in cycles) is reached, then unwinds every suspended
 // program. It may be called once per Machine. A panic in a program
-// body comes out of Run, on the caller's goroutine, with its original
-// value; the other programs are unwound first.
+// body comes out of Run, on the caller's goroutine, as a *Panic that
+// carries the original value and the program's stack; the other
+// programs are unwound first.
 func (m *Machine) Run(limit uint64) {
 	if m.ran {
 		panic("sched: Run called twice")
@@ -182,9 +184,30 @@ func (m *Machine) Now() uint64 {
 	return max
 }
 
+// Panic is what Run raises when a program panics: the program's name,
+// its original panic value, and the stack of its coroutine at the
+// panic. iter.Pull re-raises a coroutine's panic from next, so a stack
+// taken by whoever recovers Run's panic starts at step and no longer
+// shows the program's frames; Stack keeps them.
+type Panic struct {
+	Program string
+	Value   any
+	Stack   []byte
+}
+
+func (p *Panic) Error() string {
+	return fmt.Sprintf("sched: program %q panicked: %v\n%s", p.Program, p.Value, p.Stack)
+}
+
+// PanicValue and PanicStack let a recovering caller (the engine's
+// per-cell recover) report the program's value and stack without
+// importing this package.
+func (p *Panic) PanicValue() any    { return p.Value }
+func (p *Panic) PanicStack() []byte { return p.Stack }
+
 // start wraps t's program in a coroutine. The program runs only while
 // Run's goroutine waits in next, so exactly one program runs at any
-// instant, and its panic comes out of next.
+// instant, and its panic comes out of next as a *Panic.
 func (m *Machine) start(t *thread) {
 	t.next, t.stop = iter.Pull(func(yield func(uint64) bool) {
 		defer func() {
@@ -192,7 +215,7 @@ func (m *Machine) start(t *thread) {
 				if _, ok := r.(killSentinel); ok {
 					return // close unwound the program while it was suspended
 				}
-				panic(r)
+				panic(&Panic{Program: t.name, Value: r, Stack: debug.Stack()})
 			}
 		}()
 		t.yield = yield

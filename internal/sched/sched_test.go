@@ -2,6 +2,7 @@ package sched
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -313,8 +314,9 @@ func TestEnvIdentity(t *testing.T) {
 func TestNoGoroutineLeakAfterLimit(t *testing.T) {
 	// However Run ends, every program it started must be unwound before
 	// it returns: the goroutine count goes back to its pre-Run value. A
-	// program's panic must come out of Run with its original value, so
-	// the engine's per-cell recover can contain it.
+	// program's panic must come out of Run as a *Panic carrying its
+	// original value and the program's own frames, so the engine's
+	// per-cell recover can contain it and report where it began.
 	spinners := func(m *Machine, a mem.Addr) {
 		m.AddThread("spin1", 0, func(e *Env) {
 			for {
@@ -352,8 +354,13 @@ func TestNoGoroutineLeakAfterLimit(t *testing.T) {
 				m.Run(3_000_000)
 				return nil
 			}()
-			if raised != tc.raises {
-				t.Fatalf("Run raised %v, want %v", raised, tc.raises)
+			if tc.raises == nil {
+				if raised != nil {
+					t.Fatalf("Run raised %v, want nothing", raised)
+				}
+			} else if p, ok := raised.(*Panic); !ok || p.Value != tc.raises || p.Program != "third" ||
+				!strings.Contains(string(p.Stack), "TestNoGoroutineLeakAfterLimit") {
+				t.Fatalf("Run raised %v, want a *Panic of program third with value %v and its frames", raised, tc.raises)
 			}
 			deadline := time.Now().Add(time.Second)
 			for runtime.NumGoroutine() > before {

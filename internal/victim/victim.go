@@ -73,17 +73,27 @@ type background struct {
 	hotLines []uint64
 }
 
-func newBackground(sets int, genName string) background {
+func newBackground(sets int, genName string) (background, error) {
 	g, err := workload.ByName(genName, 1)
 	if err != nil {
-		panic(err) // victim constructors pass fixed, known names
+		return background{}, err
 	}
-	b := background{sets: sets, gen: g}
+	b := background{sets: sets, gen: g, hotLines: make([]uint64, hotLineCount)}
 	// The hot loop lives in the last few sets, away from the table
 	// regions the attacker monitors.
-	for i := 0; i < hotLineCount; i++ {
+	for i := range b.hotLines {
 		set := sets - 1 - i%sets
-		b.hotLines = append(b.hotLines, uint64(hotTagBase)*uint64(sets)+uint64(set))
+		b.hotLines[i] = uint64(hotTagBase)*uint64(sets) + uint64(set)
+	}
+	return b, nil
+}
+
+// mustBackground is newBackground for the victims whose generator name
+// is a fixed suite name.
+func mustBackground(sets int, genName string) background {
+	b, err := newBackground(sets, genName)
+	if err != nil {
+		panic(err)
 	}
 	return b
 }
@@ -163,7 +173,7 @@ func NewTTable(sets, baseSet int) *TTable {
 	if sets < 16 {
 		panic(fmt.Sprintf("victim: ttable needs >= 16 sets, got %d", sets))
 	}
-	return &TTable{bg: newBackground(sets, "gcc"), sets: sets, base: baseSet}
+	return &TTable{bg: mustBackground(sets, "gcc"), sets: sets, base: baseSet}
 }
 
 // Name identifies the victim.
@@ -215,7 +225,7 @@ func NewSquareMultiply(sets, baseSet int) *SquareMultiply {
 	if sets < 2 {
 		panic(fmt.Sprintf("victim: sqmul needs >= 2 sets, got %d", sets))
 	}
-	return &SquareMultiply{bg: newBackground(sets, "perlbench"), sets: sets, base: baseSet}
+	return &SquareMultiply{bg: mustBackground(sets, "perlbench"), sets: sets, base: baseSet}
 }
 
 // Name identifies the victim.
@@ -267,10 +277,11 @@ func NewTableLookup(sets, baseSet, width int, genName string) (*TableLookup, err
 	if width < 2 || width > sets {
 		return nil, fmt.Errorf("victim: lookup width %d out of range [2,%d]", width, sets)
 	}
-	if _, err := workload.ByName(genName, 1); err != nil {
+	bg, err := newBackground(sets, genName)
+	if err != nil {
 		return nil, err
 	}
-	return &TableLookup{bg: newBackground(sets, genName), sets: sets, base: baseSet, width: width}, nil
+	return &TableLookup{bg: bg, sets: sets, base: baseSet, width: width}, nil
 }
 
 // Name identifies the victim.

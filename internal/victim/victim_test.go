@@ -1,6 +1,8 @@
 package victim
 
 import (
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -173,5 +175,59 @@ func TestLookupWidthValidation(t *testing.T) {
 	}
 	if _, err := NewTableLookup(64, 0, 8, "not-a-benchmark"); err == nil {
 		t.Error("unknown generator accepted")
+	}
+}
+
+// TestByNameAllocationBound pins victim construction at a handful of
+// small allocations: the victim, its background generator and its hot
+// loop. Building a whole workload suite or a fresh Zipf table per
+// victim would show up here as hundreds of allocations and megabytes.
+func TestByNameAllocationBound(t *testing.T) {
+	for _, name := range Names() {
+		if _, err := ByName(name, 64); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := ByName(name, 64); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs", name, allocs)
+		if allocs > 8 {
+			t.Errorf("victim.ByName(%q, 64) allocates %.0f times, want <= 8", name, allocs)
+		}
+	}
+}
+
+// TestConcurrentVictimsAgree builds and runs victims from several
+// goroutines at once. Their background generators share the workload
+// package's read-only Zipf tables, which -race checks here.
+func TestConcurrentVictimsAgree(t *testing.T) {
+	want := map[string][]Step{}
+	for _, v := range allVictims(t) {
+		want[v.Name()] = v.Sequence(1, 99)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8*len(want))
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for name, seq := range want {
+				v, err := ByName(name, 64)
+				if err != nil {
+					errs <- err.Error()
+					continue
+				}
+				if !slices.Equal(v.Sequence(1, 99), seq) {
+					errs <- name + ": concurrent build gave a different sequence"
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -15,6 +15,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/rng"
 )
@@ -55,53 +56,87 @@ func (s *sequential) Next() Access {
 	return a
 }
 
-// zipf draws lines from a Zipf-like distribution over a working set: the
-// gcc/perlbench-like profile where a hot minority of lines carries most
-// references. Temporal locality is strong, so LRU-family policies shine.
-type zipf struct {
-	name  string
-	lines int
-	skew  float64
-	r     *rng.Rand
-	cdf   []float64
+// zipfTable is the immutable part of a Zipf generator: the normalized
+// CDF over ranks and a guide table into it. One table exists per suite
+// shape, built on first use and then shared read-only by every
+// generator of that shape, on any goroutine.
+//
+// guide[b] is the first rank whose CDF value is >= b/buckets, for b in
+// [0, buckets), and guide[buckets] is the last rank. A draw u in bucket
+// b = int(u*buckets) lies in [b/buckets, (b+1)/buckets), so the first
+// rank with cdf >= u lies in [guide[b], guide[b+1]], and a lower-bound
+// search over that range returns exactly the rank a search over the
+// whole CDF would. buckets is a power of two, so u*buckets and its
+// truncation are exact for every float64 u in [0, 1).
+type zipfTable struct {
+	cdf     []float64
+	guide   []int32
+	buckets float64
 }
 
-func newZipf(name string, lines int, skew float64) *zipf {
-	z := &zipf{name: name, lines: lines, skew: skew}
-	z.cdf = make([]float64, lines)
+func newZipfTable(lines int, skew float64) *zipfTable {
+	cdf := make([]float64, lines)
 	sum := 0.0
 	for i := 0; i < lines; i++ {
 		sum += 1 / math.Pow(float64(i+1), skew)
-		z.cdf[i] = sum
+		cdf[i] = sum
 	}
-	for i := range z.cdf {
-		z.cdf[i] /= sum
+	for i := range cdf {
+		cdf[i] /= sum
 	}
-	z.Reset(1)
-	return z
+	buckets := 1
+	for buckets < lines {
+		buckets <<= 1
+	}
+	guide := make([]int32, buckets+1)
+	rank := 0
+	for b := 0; b < buckets; b++ {
+		edge := float64(b) / float64(buckets)
+		for cdf[rank] < edge {
+			rank++
+		}
+		guide[b] = int32(rank)
+	}
+	guide[buckets] = int32(lines - 1)
+	return &zipfTable{cdf: cdf, guide: guide, buckets: float64(buckets)}
 }
 
-func (z *zipf) Name() string      { return z.name }
-func (z *zipf) Reset(seed uint64) { z.r = rng.New(seed) }
-func (z *zipf) Next() Access {
-	u := z.r.Float64()
-	// Binary search the CDF.
-	lo, hi := 0, len(z.cdf)-1
+// rank returns the first rank whose CDF value is >= u, for u in [0, 1).
+func (t *zipfTable) rank(u float64) int {
+	b := int(u * t.buckets)
+	lo, hi := int(t.guide[b]), int(t.guide[b+1])
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
+		if t.cdf[mid] < u {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
+	return lo
+}
+
+// zipf draws lines from a Zipf-like distribution over a working set: the
+// gcc/perlbench-like profile where a hot minority of lines carries most
+// references. Temporal locality is strong, so LRU-family policies shine.
+type zipf struct {
+	name  string
+	table *zipfTable // shared, read-only
+	r     rng.Rand
+}
+
+func (z *zipf) Name() string      { return z.name }
+func (z *zipf) Reset(seed uint64) { z.r.Reseed(seed) }
+func (z *zipf) Next() Access {
+	lo := z.table.rank(z.r.Float64())
 	// Scramble rank -> line so hot lines spread across cache sets.
-	line := uint64(lo) * 0x9e3779b97f4a7c15 % uint64(z.lines)
+	line := uint64(lo) * 0x9e3779b97f4a7c15 % uint64(len(z.table.cdf))
 	return Access{Addr: line * lineSize}
 }
 
 // pointerChase jumps through a randomized permutation of a large working
 // set: the mcf/omnetpp-like profile, almost no locality the cache can use.
+// The permutation is a function of the seed, so only Reset builds it.
 type pointerChase struct {
 	name  string
 	lines int
@@ -109,24 +144,17 @@ type pointerChase struct {
 	pos   uint32
 }
 
-func newPointerChase(name string, lines int, seed uint64) *pointerChase {
-	p := &pointerChase{name: name, lines: lines}
-	p.build(seed)
-	return p
-}
-
-func (p *pointerChase) build(seed uint64) {
-	r := rng.New(seed)
-	perm := r.Perm(p.lines)
-	p.next = make([]uint32, p.lines)
+func (p *pointerChase) Name() string { return p.name }
+func (p *pointerChase) Reset(seed uint64) {
+	perm := rng.New(seed).Perm(p.lines)
+	if p.next == nil {
+		p.next = make([]uint32, p.lines)
+	}
 	for i := 0; i < p.lines; i++ {
 		p.next[perm[i]] = uint32(perm[(i+1)%p.lines])
 	}
 	p.pos = uint32(perm[0])
 }
-
-func (p *pointerChase) Name() string      { return p.name }
-func (p *pointerChase) Reset(seed uint64) { p.build(seed) }
 func (p *pointerChase) Next() Access {
 	a := Access{Addr: uint64(p.pos) * lineSize}
 	p.pos = p.next[p.pos]
@@ -154,9 +182,9 @@ func (s *strided) Next() Access {
 // bzip2/h264ref-like.
 type mixed struct {
 	name string
-	hot  *zipf
-	cold *sequential
-	r    *rng.Rand
+	hot  zipf
+	cold sequential
+	r    rng.Rand
 	p    float64 // probability of a hot access
 }
 
@@ -164,7 +192,7 @@ func (m *mixed) Name() string { return m.name }
 func (m *mixed) Reset(seed uint64) {
 	m.hot.Reset(seed)
 	m.cold.Reset(seed + 1)
-	m.r = rng.New(seed + 2)
+	m.r.Reseed(seed + 2)
 }
 func (m *mixed) Next() Access {
 	if m.r.Float64() < m.p {
@@ -175,42 +203,54 @@ func (m *mixed) Next() Access {
 	return a
 }
 
-// suiteBuilders constructs each Figure 9 benchmark lazily, so callers
-// that need a single generator (one parallel job per benchmark) do not
-// pay for the whole suite — pointer-chase permutations and Zipf CDF
-// tables are the expensive parts.
-var suiteBuilders = []func(seed uint64) Generator{
-	func(uint64) Generator { return newZipf("perlbench", 4096, 1.1) },
-	func(uint64) Generator {
-		return &mixed{name: "bzip2", hot: newZipf("", 1024, 1.0),
-			cold: &sequential{bytes: 1 << 22, stride: lineSize}, p: 0.85}
-	},
-	func(uint64) Generator { return newZipf("gcc", 16384, 0.9) },
-	func(seed uint64) Generator { return newPointerChase("mcf", 1<<16, seed) },
-	func(uint64) Generator {
-		return &mixed{name: "gobmk", hot: newZipf("", 2048, 1.2),
-			cold: &sequential{bytes: 1 << 20, stride: lineSize}, p: 0.7}
-	},
-	func(uint64) Generator { return &strided{name: "hmmer", lines: 3000, stride: 7} },
-	func(uint64) Generator { return newZipf("sjeng", 8192, 1.05) },
-	func(uint64) Generator { return &sequential{name: "libquantum", bytes: 1 << 23, stride: lineSize} },
-	func(seed uint64) Generator { return newPointerChase("omnetpp", 1<<15, seed+7) },
-	func(uint64) Generator { return &strided{name: "milc", lines: 1 << 14, stride: 33} },
-	func(uint64) Generator { return &sequential{name: "lbm", bytes: 1 << 24, stride: 2 * lineSize} },
-	func(uint64) Generator {
-		return &mixed{name: "sphinx3", hot: newZipf("", 512, 1.3),
-			cold: &sequential{bytes: 1 << 21, stride: lineSize}, p: 0.6}
-	},
+// zipfBench and mixedBench build the suite's Zipf-based generators. Each
+// row holds one sync.OnceValue for its shape's table, so the table is
+// built on first use and then shared by every generator of that row.
+func zipfBench(lines int, skew float64) func(string) Generator {
+	table := sync.OnceValue(func() *zipfTable { return newZipfTable(lines, skew) })
+	return func(name string) Generator { return &zipf{name: name, table: table()} }
+}
+
+func mixedBench(hotLines int, skew float64, coldBytes uint64, p float64) func(string) Generator {
+	table := sync.OnceValue(func() *zipfTable { return newZipfTable(hotLines, skew) })
+	return func(name string) Generator {
+		return &mixed{name: name, hot: zipf{table: table()},
+			cold: sequential{bytes: coldBytes, stride: lineSize}, p: p}
+	}
+}
+
+// suite is the Figure 9 benchmark table, in suite order. Each row's
+// build returns its generator unseeded; SuiteBenchmark seeds it.
+var suite = [...]struct {
+	name  string
+	build func(name string) Generator
+}{
+	{"perlbench", zipfBench(4096, 1.1)},
+	{"bzip2", mixedBench(1024, 1.0, 1<<22, 0.85)},
+	{"gcc", zipfBench(16384, 0.9)},
+	{"mcf", func(name string) Generator { return &pointerChase{name: name, lines: 1 << 16} }},
+	{"gobmk", mixedBench(2048, 1.2, 1<<20, 0.7)},
+	{"hmmer", func(name string) Generator { return &strided{name: name, lines: 3000, stride: 7} }},
+	{"sjeng", zipfBench(8192, 1.05)},
+	{"libquantum", func(name string) Generator {
+		return &sequential{name: name, bytes: 1 << 23, stride: lineSize}
+	}},
+	{"omnetpp", func(name string) Generator { return &pointerChase{name: name, lines: 1 << 15} }},
+	{"milc", func(name string) Generator { return &strided{name: name, lines: 1 << 14, stride: 33} }},
+	{"lbm", func(name string) Generator {
+		return &sequential{name: name, bytes: 1 << 24, stride: 2 * lineSize}
+	}},
+	{"sphinx3", mixedBench(512, 1.3, 1<<21, 0.6)},
 }
 
 // SuiteSize is the number of Figure 9 benchmarks, without constructing
 // any of them.
-func SuiteSize() int { return len(suiteBuilders) }
+func SuiteSize() int { return len(suite) }
 
 // SuiteBenchmark builds and seeds the i'th suite benchmark alone. It is
 // identical to Suite(seed)[i].
 func SuiteBenchmark(i int, seed uint64) Generator {
-	g := suiteBuilders[i](seed)
+	g := suite[i].build(suite[i].name)
 	g.Reset(seed + uint64(i)*1315423911)
 	return g
 }
@@ -225,11 +265,12 @@ func Suite(seed uint64) []Generator {
 	return gens
 }
 
-// ByName finds a suite generator.
+// ByName builds the named suite generator alone; it is identical to the
+// generator Suite(seed) holds under that name.
 func ByName(name string, seed uint64) (Generator, error) {
-	for _, g := range Suite(seed) {
-		if g.Name() == name {
-			return g, nil
+	for i := range suite {
+		if suite[i].name == name {
+			return SuiteBenchmark(i, seed), nil
 		}
 	}
 	return nil, fmt.Errorf("workload: unknown benchmark %q", name)
